@@ -246,46 +246,30 @@ def traced_inprocess(
     budget_s: float,
     out_dir: str,
 ) -> Dict[str, Any]:
-    """Replay the untraced pass's units (and its cache replay) under spans."""
-    from workloads import CacheReplay
-
+    """Replay the untraced pass's units under spans."""
     tracer = Tracer()
-    replay = CacheReplay(os.path.join(out_dir, "traced-replay-cache"))
     instrument(tracer)
     try:
-        replayed, traced_elapsed = replay_units(
-            units, tracer, replay, untraced_elapsed, budget_s
-        )
+        replayed, traced_elapsed = replay_units(units, tracer, untraced_elapsed, budget_s)
     finally:
         tracer.restore()
-        replay.close()
     traced_wall = sum(traced_elapsed)
     untraced_wall = sum(untraced_elapsed[: len(replayed)])
     outcomes = [outcome for unit in replayed for outcome in unit]
-    summary = replay.summary()
     failures = [
         f"traced replay of {o.spec.protocol} seed={o.spec.seed}: "
         + (o.error or f"{o.interactions} interactions, untraced {u.interactions}")
         for o, u in zip(outcomes, (u for unit in units for u in unit))
         if o.error or o.interactions != u.interactions
     ]
-    if summary["mismatches"]:
-        failures.append(
-            f"{summary['mismatches']} records read back differently under tracing"
-        )
     metrics = span_metrics(tracer)
     metrics.update(telemetry_counters(o.telemetry for o in outcomes))
     _server_zeroes(metrics)
-    # Every replayed read is a fresh cache's disk load that must hit.
-    reads = metrics["cache.get_calls"]
-    metrics["cache.disk_loads"] = reads
-    metrics["cache.hit_ratio"] = 1.0 - summary["mismatches"] / reads if reads else 0.0
     metrics = _finish(
         tracer, metrics, traced_wall, untraced_wall, out_dir,
         {"units": len(units), "units_replayed": len(replayed)},
     )
-    attempted = len(outcomes) + summary["records"]
-    return {"metrics": metrics, "failures": failures, "attempted": attempted}
+    return {"metrics": metrics, "failures": failures, "attempted": len(outcomes)}
 
 
 def traced_served(

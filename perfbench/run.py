@@ -52,11 +52,16 @@ import workloads as inproc  # noqa: E402
 
 SERVED = "served-sweep"
 WORKLOAD_NAMES = list(inproc.WORKLOADS) + [SERVED]
-#: Fresh-interpreter set-up probes before and again after the measured
-#: phase (the median of all of them is reported).
-SETUP_PROBES = 3
-#: Server + worker starts per served invocation (their median is reported).
-SERVED_STARTS = 3
+#: Fresh-interpreter set-up probes per run, spread evenly through the
+#: measuring time (the median of all of them is reported).
+SETUP_PROBES = 10
+#: Server + worker starts per served run, half before and half after the
+#: measured jobs (their median is reported).
+SERVED_STARTS = 4
+#: ``cached_cells_per_s`` of a workload that serves no cells from a cache
+#: (the in-process ones): a fixed placeholder, as every end-to-end metric is
+#: printed on every workload and none may read 0.
+NOT_SERVED = 1.0
 #: Units (or served jobs) every untraced run measures, however long they take.
 MIN_UNITS = 3
 #: A traced replay starts no unit that would take it past this many times
@@ -103,6 +108,34 @@ def probe_setup(runs: List[Any], served_mode: bool) -> float:
     return float(json.loads(completed.stdout.strip().splitlines()[-1])["setup_s"])
 
 
+class SetupProbes:
+    """Set-up probes spread evenly through a run's measuring time.
+
+    The machine's speed drifts by tens of percent over seconds to minutes,
+    and a probe lasts a fraction of a second.  Probes taken between the
+    measured units, on a schedule of one per ``seconds / SETUP_PROBES`` of
+    measuring time, see the same mix of speeds as the units themselves;
+    probes bunched at the start and end of a run see only those instants.
+    """
+
+    def __init__(self, runs: List[Any], served_mode: bool, seconds: float) -> None:
+        self.runs = runs
+        self.served_mode = served_mode
+        self.every_s = seconds / SETUP_PROBES
+        self.times: List[float] = []
+
+    def catch_up(self, spent: float) -> None:
+        """Take the probes due after ``spent`` seconds of measuring."""
+        due = min(SETUP_PROBES, 1 + int(spent / self.every_s))
+        while len(self.times) < due:
+            self.times.append(probe_setup(self.runs, self.served_mode))
+
+    def median(self) -> float:
+        """The median probe, after taking any not yet taken."""
+        self.catch_up(self.every_s * SETUP_PROBES)
+        return statistics.median(self.times)
+
+
 def provenance(seed: int) -> Dict[str, Any]:
     import numpy
     from repro.fingerprint import code_fingerprint
@@ -145,59 +178,54 @@ def git_commit() -> str:
     return "unknown (not a git checkout)"
 
 
-def peak_rss_mb(include_children: bool) -> float:
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if include_children:
-        peak_kb += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return peak_kb / 1024.0
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # -------------------------------------------------------- in-process passes
 def time_is_up(
-    started: float, units: int, seconds: float, min_units: int = MIN_UNITS
+    spent: float, units: int, seconds: float, min_units: int = MIN_UNITS
 ) -> bool:
-    """Whether to stop before another unit.
+    """Whether to stop before another unit, after ``spent`` seconds of units.
 
-    Never before ``min_units`` units, so that one unit far off the others
-    (a run that never reaches its predicate spends its whole budget) cannot
-    set a median alone.  After that, stops once ``seconds`` have passed, or
-    when half of a typical unit would already run past them: a run then
-    ends within half a unit of ``seconds`` instead of always overrunning by
-    up to a whole unit.
+    Never before ``min_units`` units, so that a few units far off the others
+    (a run that never reaches its predicate spends its whole budget) weigh
+    less.  After that, stops once ``seconds`` have passed, or when half of a
+    typical unit would already run past them: a run then ends within half a
+    unit of ``seconds`` instead of always overrunning by up to a whole unit.
     """
     if units < min_units:
         return False
-    elapsed = time.perf_counter() - started
-    return elapsed >= seconds or elapsed + 0.5 * elapsed / units >= seconds
+    return spent >= seconds or spent + 0.5 * spent / units >= seconds
 
 
 def play_units(
-    workload: Any, seed: int, seconds: float, replay: inproc.CacheReplay,
-    min_units: int,
+    workload: Any, seed: int, seconds: float, min_units: int,
+    probes: Optional[SetupProbes] = None,
 ) -> "tuple[List[List[Any]], List[float]]":
     """Untraced pass: whole units for about ``seconds``.
 
-    Returns the units and each unit's elapsed time (runs plus cache replay).
+    ``probes`` take their due set-up probes between units.  Returns the
+    units and each unit's elapsed time.
     """
     units: List[List[Any]] = []
     elapsed: List[float] = []
-    started = time.perf_counter()
     for specs in workload.units(seed):
         unit_started = time.perf_counter()
         outcomes = [inproc.execute_run(spec) for spec in specs]
-        replay.add(outcomes)
-        replay.sample(sum(outcome.wall_s for outcome in outcomes))
         elapsed.append(time.perf_counter() - unit_started)
         for outcome in outcomes:
             outcome.telemetry = None  # only the traced pass reads it
         units.append(outcomes)
-        if time_is_up(started, len(units), seconds, min_units):
+        if probes is not None:
+            probes.catch_up(sum(elapsed))
+        if time_is_up(sum(elapsed), len(units), seconds, min_units):
             break
     return units, elapsed
 
 
 def replay_units(
-    units: List[List[Any]], tracer: Any, replay: Optional[inproc.CacheReplay] = None,
+    units: List[List[Any]], tracer: Any,
     untraced_elapsed: Optional[List[float]] = None, budget_s: Optional[float] = None,
 ) -> "tuple[List[List[Any]], List[float]]":
     """Traced pass over the units the untraced pass played, in order.
@@ -220,9 +248,6 @@ def replay_units(
         tracer.run_id = f"unit-{index:04d}"
         unit_started = time.perf_counter()
         outcomes = [inproc.execute_run(o.spec, wrap_predicate) for o in unit]
-        if replay is not None:
-            replay.add(outcomes)
-            replay.sample(sum(outcome.wall_s for outcome in unit))
         elapsed.append(time.perf_counter() - unit_started)
         replayed.append(outcomes)
     tracer.run_id = None
@@ -236,7 +261,7 @@ def _geometric_mean(values: List[float]) -> float:
     return math.exp(sum(math.log(value) for value in positive) / len(positive))
 
 
-def inprocess_metrics(units: List[List[Any]], replay: Dict[str, Any]) -> Dict[str, float]:
+def inprocess_metrics(units: List[List[Any]]) -> Dict[str, float]:
     outcomes = [outcome for unit in units for outcome in unit]
     rates = []
     for protocol in dict.fromkeys(o.spec.protocol for o in outcomes):
@@ -245,38 +270,34 @@ def inprocess_metrics(units: List[List[Any]], replay: Dict[str, Any]) -> Dict[st
         if run_s > 0:
             rates.append(sum(o.interactions for o in mine) / run_s)
     return {
-        "wall_s": statistics.median(sum(o.wall_s for o in unit) for unit in units),
+        # Mean, not median: a unit's time to the predicate has two modes
+        # (the approximate runs end at one of a few checkpoints).
+        "wall_s": statistics.fmean(sum(o.wall_s for o in unit) for unit in units),
         "interactions_per_s": _geometric_mean(rates),
         # Median, not mean: the first run of a process also fills lazy
         # caches (a one-off cost of about 10 ms).
         "served_overhead_ms_per_cell": statistics.median(
             1000.0 * (o.wall_s - o.run_s) for o in outcomes
         ),
-        "cached_cells_per_s": replay["cells_per_s"],
+        # No warm resubmission runs in-process: see NOT_SERVED.
+        "cached_cells_per_s": NOT_SERVED,
     }
 
 
 def run_inprocess(name: str, seed: int, seconds: float, trace: bool,
-                  out_dir: str, report: Dict[str, Any]) -> Dict[str, Any]:
+                  out_dir: str, report: Dict[str, Any],
+                  probes: Optional[SetupProbes]) -> Dict[str, Any]:
     workload = inproc.WORKLOADS[name]
-    replay = inproc.CacheReplay(os.path.join(out_dir, "replay-cache"))
-    try:
-        # A traced run reports no end-to-end figures, so it needs no floor.
-        units, elapsed = play_units(
-            workload, seed, seconds, replay, 1 if trace else MIN_UNITS
-        )
-    finally:
-        replay.close()
-    summary = replay.summary()
+    # A traced run reports no end-to-end figures, so it needs no floor.
+    units, elapsed = play_units(
+        workload, seed, seconds, 1 if trace else MIN_UNITS, probes
+    )
     outcomes = [outcome for unit in units for outcome in unit]
     failures = [
         f"{o.spec.protocol} n={o.spec.n} seed={o.spec.seed}: {o.error}"
         for o in outcomes
         if o.error
     ]
-    failures += [
-        f"a record read back from the disk cache differs ({summary['mismatches']})"
-    ] if summary["mismatches"] else []
     report["units"] = [
         [
             {
@@ -288,10 +309,9 @@ def run_inprocess(name: str, seed: int, seconds: float, trace: bool,
         ]
         for unit in units
     ]
-    report["cache_replay"] = summary
     result = {
-        "metrics": inprocess_metrics(units, summary),
-        "attempted": len(outcomes) + summary["records"],
+        "metrics": inprocess_metrics(units),
+        "attempted": len(outcomes),
         "failures": failures,
     }
     if trace:
@@ -303,8 +323,12 @@ def run_inprocess(name: str, seed: int, seconds: float, trace: bool,
 
 # ------------------------------------------------------------ served passes
 def play_served(harness: Any, seed: int, seconds: float, tracer: Any = None,
-                count: Optional[int] = None) -> List[Any]:
-    """Closed-loop jobs for about ``seconds`` (or exactly ``count`` jobs)."""
+                count: Optional[int] = None,
+                probes: Optional[SetupProbes] = None) -> List[Any]:
+    """Closed-loop jobs for about ``seconds`` (or exactly ``count`` jobs).
+
+    ``probes`` take their due set-up probes between jobs.
+    """
     from repro.experiments import runner
 
     execute = runner.execute_cell
@@ -315,17 +339,21 @@ def play_served(harness: Any, seed: int, seconds: float, tracer: Any = None,
         return served.reference_document(spec, execute)
 
     iterations = []
-    started = time.perf_counter()
+    spent = 0.0
     index = 0
     while True:
         if tracer is not None:
             tracer.run_id = f"job-{index:04d}"
+        started = time.perf_counter()
         iterations.append(harness.iteration(seed, index, reference, tracer))
+        spent += time.perf_counter() - started
         index += 1
+        if probes is not None:
+            probes.catch_up(spent)
         if count is not None:
             if index >= count:
                 break
-        elif time_is_up(started, index, seconds):
+        elif time_is_up(spent, index, seconds):
             break
     if tracer is not None:
         tracer.run_id = None
@@ -338,8 +366,10 @@ def served_metrics(iterations: List[Any]) -> Dict[str, float]:
     warm_cells = sum(it.cells * len(it.warm_s) for it in done)
     warm_s = sum(sum(it.warm_s) for it in done)
     return {
+        # Median, not mean: now and then one cell runs several times longer
+        # than the rest, and a run holds only three to seven jobs.
         "wall_s": statistics.median(
-            it.cold_s + statistics.median(it.warm_s or [0.0]) for it in done
+            it.cold_s + statistics.fmean(it.warm_s or [0.0]) for it in done
         ),
         "interactions_per_s": sum(it.interactions for it in done) / run_s if run_s else 0.0,
         "served_overhead_ms_per_cell": statistics.median(
@@ -350,18 +380,26 @@ def served_metrics(iterations: List[Any]) -> Dict[str, float]:
 
 
 def run_served(seed: int, seconds: float, trace: bool,
-               out_dir: str, report: Dict[str, Any]) -> Dict[str, Any]:
+               out_dir: str, report: Dict[str, Any],
+               probes: Optional[SetupProbes]) -> Dict[str, Any]:
     harness = served.ServedHarness(ROOT, out_dir)
+
+    def restarts(count: int) -> List[float]:
+        times = []
+        for _ in range(count):
+            harness.stop()
+            times.append(harness.start())
+        return times
+
     try:
-        starts = []
-        for attempt in range(SERVED_STARTS):
-            starts.append(harness.start())
-            if attempt + 1 < SERVED_STARTS:
-                harness.stop()
-        report["served_start_s"] = starts
+        # A traced run reports no set-up time: one start is enough.
+        starts = restarts(1 if trace else SERVED_STARTS // 2)
         started = time.perf_counter()
-        iterations = play_served(harness, seed, seconds)
-        untraced_wall = time.perf_counter() - started
+        iterations = play_served(harness, seed, seconds, probes=probes)
+        untraced_wall = time.perf_counter() - started  # no probes when traced
+        if not trace:
+            starts += restarts(SERVED_STARTS - len(starts))
+        report["served_start_s"] = starts
         report["units"] = [
             {k: v for k, v in vars(it).items() if k != "cold_artifact"}
             for it in iterations
@@ -379,6 +417,7 @@ def run_served(seed: int, seconds: float, trace: bool,
     finally:
         harness.stop()
         shutil.rmtree(harness.cache_dir, ignore_errors=True)
+    result["worker_peak_mb"] = harness.worker_peak_mb
     return result
 
 
@@ -406,18 +445,18 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict[str,
         setup_runs = [("count-exact", max(served.SERVED_NS))]
     else:
         setup_runs = inproc.WORKLOADS[name].runs
-    setup_times = [probe_setup(setup_runs, served_mode) for _ in range(SETUP_PROBES)]
-    warm_imports()
-
     # A traced run spends half its time untraced and replays those units
-    # traced (which takes longer); its end-to-end figures are not reported.
+    # traced (which takes longer); its end-to-end figures, set-up time
+    # included, are not reported.
     measure_s = seconds / 2 if trace else seconds
+    probes = None if trace else SetupProbes(setup_runs, served_mode, measure_s)
+    if probes is not None:
+        probes.catch_up(0.0)
+    warm_imports()
     if served_mode:
-        result = run_served(seed, measure_s, trace, out_dir, report)
+        result = run_served(seed, measure_s, trace, out_dir, report, probes)
     else:
-        result = run_inprocess(name, seed, measure_s, trace, out_dir, report)
-    setup_times += [probe_setup(setup_runs, served_mode) for _ in range(SETUP_PROBES)]
-    report["setup_probe_s"] = setup_times
+        result = run_inprocess(name, seed, measure_s, trace, out_dir, report, probes)
     metrics = result["metrics"]
     attempted = result["attempted"]
     failures = list(result["failures"])
@@ -426,9 +465,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> Dict[str,
         attempted += result["traced"]["attempted"]
         failures += result["traced"]["failures"]
         report["per_layer"] = result["traced"]["metrics"]
-    metrics["setup_s"] = statistics.median(setup_times) + result.get("setup_extra_s", 0.0)
+    if probes is not None:
+        metrics["setup_s"] = probes.median() + result.get("setup_extra_s", 0.0)
+        report["setup_probe_s"] = probes.times
     metrics["correct_fraction"] = (attempted - len(failures)) / attempted
-    metrics["peak_rss_mb"] = peak_rss_mb(include_children=served_mode)
+    metrics["peak_rss_mb"] = peak_rss_mb() + result.get("worker_peak_mb", 0.0)
     report["end_to_end"] = metrics
     report["failures"] = failures
     report["out_dir"] = out_dir

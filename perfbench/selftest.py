@@ -178,6 +178,20 @@ def test_traced_library_spans_fit_in_the_wall_time():
     assert not hasattr(Simulator.run, "__wrapped__")
 
 
+def test_setup_probes_are_spread_through_the_run(monkeypatch):
+    taken = []
+    monkeypatch.setattr(run, "probe_setup", lambda runs, served_mode: taken.append(1) or 0.5)
+    probes = run.SetupProbes([("count-exact", 16)], False, seconds=10.0)
+    probes.catch_up(0.0)
+    assert len(taken) == 1
+    probes.catch_up(3.5)  # one probe per second of measuring is due
+    assert len(taken) == 4
+    probes.catch_up(3.9)
+    assert len(taken) == 4
+    assert probes.median() == 0.5
+    assert len(taken) == run.SETUP_PROBES
+
+
 # ------------------------------------------------------- the command itself
 def test_names_match_benchmark_json():
     definition = _definition()

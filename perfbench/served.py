@@ -2,9 +2,9 @@
 
 The server is an in-process ``JobManager(local_execution=False)`` behind
 ``make_server`` with a fresh ``cache_dir``; a real ``repro-worker`` child
-process leases every cell over HTTP.  The client sends jobs in a closed
-loop (the next job is submitted only after the previous artifact came
-back).  Each iteration is:
+process, at its default poll interval, leases every cell over HTTP.  The
+client sends jobs in a closed loop (the next job is submitted only after
+the previous artifact came back).  Each iteration is:
 
 * cold job: a sweep of single-seed ``count-exact`` cells at n <= 32, new
   seeds each iteration, so every cell misses the cache and is executed by
@@ -28,16 +28,17 @@ from typing import Any, Dict, List, Optional
 
 from workloads import unit_seed
 
-#: Population sizes of the swept cells: 12 cells of about 0.1 s each.
+#: Population sizes of the swept cells: 12 cells of about 0.1-0.3 s each.
 SERVED_NS = list(range(10, 33, 2))
-#: Worker poll interval between empty lease requests.
-WORKER_POLL_S = 0.01
 #: Longest a job may take before the benchmark gives up on it.
 JOB_TIMEOUT_S = 120.0
 #: Warm resubmissions per cold job (each to a new manager).
 WARM_REPEATS = 5
 #: How often an HTTP server loop checks for shutdown.
 SERVE_POLL_S = 0.05
+#: Share of the worker's poll period between its last empty poll and a
+#: cold submission (see ``LeaseProbe.await_phase``).
+SUBMIT_PHASE = 0.5
 
 
 def sweep_spec(seed: int, index: int) -> Any:
@@ -71,17 +72,28 @@ class LeaseProbe:
         self.granted = 0
         self.first_grant_at: Optional[float] = None
         self.first_poll = threading.Event()
+        self._empty_poll = threading.Event()
+        self._last_empty_at: Optional[float] = None
+        #: Time between the idle worker's last two consecutive empty polls.
+        self.poll_period_s: Optional[float] = None
         self._lock = threading.Lock()
         cls = type(manager)
 
         def lease_work(worker_id: str) -> Optional[Dict[str, Any]]:
             lease = cls.lease_work(manager, worker_id)
+            now = time.perf_counter()
             with self._lock:
                 self.polls += 1
                 if lease is not None:
                     self.granted += 1
+                    self._last_empty_at = None
                     if self.first_grant_at is None:
-                        self.first_grant_at = time.perf_counter()
+                        self.first_grant_at = now
+                else:
+                    if self._last_empty_at is not None:
+                        self.poll_period_s = now - self._last_empty_at
+                    self._last_empty_at = now
+                    self._empty_poll.set()
             self.first_poll.set()
             return lease
 
@@ -90,6 +102,24 @@ class LeaseProbe:
     def counts(self) -> Dict[str, int]:
         with self._lock:
             return {"polls": self.polls, "granted": self.granted}
+
+    def await_phase(self, share: float, timeout_s: float = 10.0) -> None:
+        """Return ``share`` of a poll period after the idle worker's next empty poll.
+
+        A job submitted at a random instant waits for the worker's next
+        poll a random share of the poll period, half of it on average.
+        Submitting at a fixed phase makes every job wait that average, so
+        a run of a few jobs measures it without the phase's randomness.
+        """
+        while True:
+            self._empty_poll.clear()
+            if not self._empty_poll.wait(timeout_s):
+                raise RuntimeError("repro-worker stopped polling the server")
+            with self._lock:
+                period = self.poll_period_s
+            if period is not None:
+                time.sleep(share * period)
+                return
 
 
 class _Server:
@@ -130,7 +160,6 @@ def _start_worker(root: str, url: str, log_path: str) -> subprocess.Popen:
                 sys.executable, "-m", "repro.server.worker",
                 "--server", url,
                 "--worker-id", "perfbench-worker",
-                "--poll-s", str(WORKER_POLL_S),
                 "--quiet",
             ],
             cwd=root,
@@ -139,6 +168,22 @@ def _start_worker(root: str, url: str, log_path: str) -> subprocess.Popen:
             stdout=subprocess.DEVNULL,
             stderr=log,
         )
+
+
+def _peak_rss_mb(pid: int) -> float:
+    """A live process's peak resident memory (``VmHWM``); 0.0 without ``/proc``.
+
+    ``RUSAGE_CHILDREN`` cannot stand in for it: a child's peak there
+    includes the parent's memory it shared between ``fork`` and ``exec``.
+    """
+    try:
+        with open(f"/proc/{pid}/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return 0.0
 
 
 def _stop_worker(process: subprocess.Popen) -> None:
@@ -181,6 +226,8 @@ class ServedHarness:
         self.worker_log = os.path.join(out_dir, "worker.log")
         self.server: Optional[_Server] = None
         self.worker: Optional[subprocess.Popen] = None
+        #: Largest peak resident memory of any worker stopped so far (MB).
+        self.worker_peak_mb = 0.0
 
     # ---------------------------------------------------------------- setup
     def start(self) -> float:
@@ -201,6 +248,7 @@ class ServedHarness:
 
     def stop(self) -> None:
         if self.worker is not None:
+            self.worker_peak_mb = max(self.worker_peak_mb, _peak_rss_mb(self.worker.pid))
             _stop_worker(self.worker)
             self.worker = None
         if self.server is not None:
@@ -232,6 +280,7 @@ class ServedHarness:
 
         # Cold job: every cell is new to the cache and leased by the worker.
         probe = self.server.probe
+        probe.await_phase(SUBMIT_PHASE)
         probe.first_grant_at = None
         outcome.checks += 1
         started = time.perf_counter()

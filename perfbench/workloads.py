@@ -14,7 +14,6 @@ run.
 from __future__ import annotations
 
 import hashlib
-import shutil
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -34,18 +33,6 @@ class RunSpec:
     #: ``"predicate"``: the registry predicate must hold at the end.
     #: ``"budget"``: the run must stop on its budget with n agents counted.
     check: str
-
-    def cache_payload(self) -> Dict[str, Any]:
-        """The JSON content the run's record is cached under."""
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "seed": self.seed,
-            "budget": self.budget,
-            "check_interval": self.check_interval,
-            "confirm_checks": self.confirm_checks,
-            "backend": "auto",
-        }
 
 
 def unit_seed(seed: int, workload: str, index: int, part: str) -> int:
@@ -198,12 +185,11 @@ def check_run(spec: RunSpec, result: Any, predicate: Optional[Callable]) -> Opti
 class RunOutcome:
     spec: RunSpec
     error: Optional[str]
-    #: Wall time of build + construction + run + check + record.
+    #: Wall time of build + construction + run + check.
     wall_s: float
     #: ``SimulationResult.wall_time_s`` (the engine's own ``run`` time).
     run_s: float
     interactions: int
-    record: Optional[Dict[str, Any]]
     telemetry: Optional[Dict[str, Any]]
 
 
@@ -233,11 +219,10 @@ def execute_run(spec: RunSpec, wrap_predicate: Optional[Callable] = None) -> Run
             confirm_checks=spec.confirm_checks,
         )
         error = check_run(spec, result, predicate)
-        record = result.as_json_dict()
     except Exception as exc:  # noqa: BLE001 - a crash is a failed check
         return RunOutcome(
             spec, f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - started, 0.0, 0, None, None,
+            time.perf_counter() - started, 0.0, 0, None,
         )
     return RunOutcome(
         spec,
@@ -245,84 +230,5 @@ def execute_run(spec: RunSpec, wrap_predicate: Optional[Callable] = None) -> Run
         time.perf_counter() - started,
         result.wall_time_s,
         result.interactions,
-        record,
         result.extra.get("telemetry"),
     )
-
-
-# ------------------------------------------------------------ cache replay
-class CacheReplay:
-    """Run records written to a disk cache and read back by fresh caches.
-
-    The in-process analogue of the served warm resubmission: each pass
-    opens a new ``ResultCache`` over the same ``cache_dir`` and reads every
-    record stored so far, so every ``get`` is a disk load.  After each unit
-    the passes repeat for a fixed share of that unit's wall time, which
-    spreads the reads evenly over the whole measurement: this read path is
-    sensitive to load from other processes on the machine, so a few
-    instants would not represent the run.  The rate is all reads over all
-    read time.
-    """
-
-    #: Share of each unit's wall time spent reading records back.
-    SHARE = 0.2
-    #: Reads per sample at least.
-    MIN_READS = 20
-
-    def __init__(self, cache_dir: str) -> None:
-        from repro.server import ResultCache
-
-        self.cache_dir = cache_dir
-        # One record in memory: the replay reads from disk, not from here.
-        self._writer = ResultCache(max_entries=1, cache_dir=cache_dir)
-        self.keys: List[str] = []
-        self.reads = 0
-        self.read_s = 0.0
-        self.samples = 0
-        self.mismatches = 0
-
-    def add(self, outcomes: List["RunOutcome"]) -> None:
-        """Store the units' records; each must read back equal from disk."""
-        from repro.server import ResultCache, cache_key
-
-        for outcome in outcomes:
-            if outcome.record is None:
-                continue
-            key = cache_key(outcome.spec.cache_payload())
-            self._writer.put(key, outcome.record)
-            if ResultCache(cache_dir=self.cache_dir).get(key) != outcome.record:
-                self.mismatches += 1
-            self.keys.append(key)
-            outcome.record = None  # on disk now; keeps memory flat
-
-    def sample(self, unit_wall_s: float) -> None:
-        """Read every stored record back, repeatedly, for a share of a unit."""
-        from repro.server import ResultCache
-
-        if not self.keys:
-            return
-        budget = self.SHARE * unit_wall_s
-        spent = 0.0
-        reads = 0
-        while reads < self.MIN_READS or spent < budget:
-            reader = ResultCache(cache_dir=self.cache_dir)
-            started = time.perf_counter()
-            for key in self.keys:
-                reader.get(key)
-            spent += time.perf_counter() - started
-            reads += len(self.keys)
-        self.read_s += spent
-        self.reads += reads
-        self.samples += 1
-
-    def close(self) -> None:
-        shutil.rmtree(self.cache_dir, ignore_errors=True)
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "records": len(self.keys),
-            "samples": self.samples,
-            "reads": self.reads,
-            "cells_per_s": self.reads / self.read_s if self.read_s > 0 else 0.0,
-            "mismatches": self.mismatches,
-        }
