@@ -84,7 +84,6 @@ class StaticTableProtocol(Protocol):
     """
 
     name = "static-table"
-    deterministic_transitions = True
 
     def __init__(self, keys: int = 40) -> None:
         self.keys = keys

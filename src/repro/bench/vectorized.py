@@ -18,11 +18,16 @@ The grid covers the regimes the NumPy layer was built for:
   ``n = 10^4``.
 * ``backup-approximate`` at ``n = 10^4`` — the Appendix-C.1 counting
   workload behind the committed ``SWEEP_counting-curve.json``.
-* ``approximate`` (dense regime) — the composed counting stack's phase
+* ``approximate`` and ``count-exact`` (dense regime, Theorems 1 and 2) at
+  ``n in {256, 10^3, 10^4, 10^5}`` — the composed counting stack's phase
   clocks change the histogram on nearly every interaction, so the dense
-  block kernel detects thrash and falls back to the Python sampler: the
-  honest expectation here is parity (speedup ~ 1.0), recorded so a
-  regression in the fallback heuristic is visible.
+  block kernel detects thrash within a few blocks.  Where the mean
+  collision-free run ``sqrt(pi n / 8)`` reaches
+  :attr:`~repro.engine.vectorized.CollisionFreeKernel.MIN_EXPECTED_RUN`
+  the run moves on to the collision-free kernel (one vectorised step per
+  run of about ``sqrt(n)`` interactions); below it, it falls back to the
+  Python sampler.  ``n = 256`` sits at the threshold (the crossover row),
+  ``n = 10^5`` is paper scale.
 * ``static-dense`` — a synthetic dense-regime workload whose transitions
   swap the two keys (configuration-preserving forever): blocks are never
   invalidated and the benchmark shows the raw amortisation ceiling of the
@@ -78,7 +83,6 @@ class StaticDenseProtocol(Protocol):
     """
 
     name = "static-dense"
-    deterministic_transitions = True
 
     def __init__(self, keys: int = 40) -> None:
         self.keys = keys
@@ -132,6 +136,8 @@ class VectorBenchEntry:
     n: int
     accel: str
     active: str
+    #: The NumPy kernel driving the run at its end (``None`` when none).
+    kernel: Optional[str]
     fallback_reason: Optional[str]
     interactions: int
     transition_calls: int
@@ -141,9 +147,23 @@ class VectorBenchEntry:
     sampler_stats: Dict[str, Any]
 
 
+def _dense_counting_cases(ns_budgets: List[Tuple[int, int]]) -> List[VectorBenchCase]:
+    """Theorem 1 / Theorem 2 protocols in the dense regime, per ``(n, budget)``."""
+    cases = []
+    for n, budget in ns_budgets:
+        for case, name in (("approximate-dense", "approximate"), ("count-exact-dense", "count-exact")):
+            entry = resolve_protocol(name)
+            cases.append(
+                VectorBenchCase(
+                    case, name, lambda n, entry=entry: entry.build(n, {}), "dense",
+                    n=n, max_interactions=budget,
+                )
+            )
+    return cases
+
+
 def vectorized_cases(smoke: bool = False) -> List[VectorBenchCase]:
     """The benchmark grid (bounded < 30 s under ``smoke``)."""
-    approximate = resolve_protocol("approximate")
     if smoke:
         return [
             VectorBenchCase(
@@ -151,11 +171,7 @@ def vectorized_cases(smoke: bool = False) -> List[VectorBenchCase]:
                 lambda n: ExactBackupProtocol(), "pruning",
                 n=512, max_interactions=300_000,
             ),
-            VectorBenchCase(
-                "approximate-dense", "approximate",
-                lambda n: approximate.build(n, {}), "dense",
-                n=256, max_interactions=60_000,
-            ),
+            *_dense_counting_cases([(256, 40_000), (100_000, 40_000)]),
             VectorBenchCase(
                 "static-dense", "static-dense",
                 lambda n: StaticDenseProtocol(keys=40), "dense",
@@ -178,10 +194,8 @@ def vectorized_cases(smoke: bool = False) -> List[VectorBenchCase]:
             lambda n: ApproximateBackupProtocol(), "pruning",
             n=10_000, max_interactions=120_000_000,
         ),
-        VectorBenchCase(
-            "approximate-dense", "approximate",
-            lambda n: approximate.build(n, {}), "dense",
-            n=1_000, max_interactions=400_000,
+        *_dense_counting_cases(
+            [(256, 200_000), (1_000, 200_000), (10_000, 200_000), (100_000, 200_000)]
         ),
         VectorBenchCase(
             "static-dense", "static-dense",
@@ -212,6 +226,7 @@ def run_entry(case: VectorBenchCase, accel: str, base_seed: int = 0) -> VectorBe
         n=case.n,
         accel=accel,
         active=accel_record.get("active", accel),
+        kernel=result.extra.get("sampler", {}).get("kernel"),
         fallback_reason=accel_record.get("fallback_reason"),
         interactions=result.interactions,
         transition_calls=int(result.extra.get("transition_calls", 0)),
@@ -241,6 +256,7 @@ def _comparisons(entries: List[VectorBenchEntry]) -> List[Dict[str, Any]]:
                 "numpy_wall_time_s": paths["numpy"].wall_time_s,
                 "speedup": round(python_wall / numpy_wall, 2),
                 "numpy_active": paths["numpy"].active,
+                "numpy_kernel": paths["numpy"].kernel,
                 "numpy_fallback": paths["numpy"].fallback_reason,
             }
         )
@@ -272,7 +288,7 @@ def run_vectorized_benchmark(
             if progress:
                 progress(
                     f"  {entry.interactions} interactions, {entry.wall_time_s:.3f}s "
-                    f"(active={entry.active})"
+                    f"(active={entry.active}, kernel={entry.kernel})"
                 )
     comparisons = _comparisons(entries)
     headline_candidates = [

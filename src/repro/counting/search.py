@@ -154,8 +154,6 @@ class SearchWithGivenLeader(Protocol[SearchAgent]):
     """
 
     name = "search-protocol"
-    # The search, clock, and junta updates never consume randomness.
-    deterministic_transitions = True
 
     def __init__(
         self,

@@ -14,12 +14,12 @@ agent states.  Two execution strategies for that chain are provided:
   the number of configuration-preserving interactions before the next
   configuration-changing one is drawn from a geometric distribution over the
   active pair-type weights, and the transition is then applied once per pair
-  *type* (memoised for protocols declaring
-  :attr:`~repro.engine.protocol.Protocol.deterministic_transitions`) instead
-  of once per agent.  Conditioned on the configuration, the resulting chain
-  is distributed exactly as the agent-level chain marginalised over agent
-  identities, because agents are anonymous and the uniform scheduler is
-  exchangeable.
+  *type* (memoised per pair type, and per coin value for transitions that
+  draw one synthetic coin, by :class:`~repro.engine.outcomes.OutcomeTable`)
+  instead of once per agent.  Conditioned on the configuration, the
+  resulting chain is distributed exactly as the agent-level chain
+  marginalised over agent identities, because agents are anonymous and the
+  uniform scheduler is exchangeable.
 
 The batch backend requires the uniform random scheduler and a protocol whose
 behaviour depends on states only through their keys (true for every protocol
@@ -41,6 +41,7 @@ import random
 from ..obs.trace import RunTracer
 from .errors import ConfigurationError, SimulationError
 from .metrics import AggregateInteractionCounter, InteractionCounter, StateSpaceTracker
+from .outcomes import OutcomeTable
 from .protocol import Protocol
 from .samplers import (
     SAMPLER_NAMES,
@@ -53,8 +54,10 @@ from .samplers import (
 from .vectorized import (
     ACCEL_NAMES,
     AccelCapacityError,
+    CollisionFreeKernel,
     DenseBlockKernel,
     FactorisedPairKernel,
+    expected_run_length,
     numpy_available,
     resolve_accel,
 )
@@ -134,6 +137,10 @@ class Backend(abc.ABC):
     """
 
     name: str = ""
+    #: Number of Python-level transition invocations actually executed
+    #: (``transition()`` for the agent backend, ``delta_key()`` for the
+    #: batch backend; memoised applications do not count).
+    transition_calls: int
 
     def __init__(self, simulator: "Simulator") -> None:
         self.simulator = simulator
@@ -146,10 +153,6 @@ class Backend(abc.ABC):
         #: applied so far.
         self.population_changes: int = 0
         self.interactions: int = 0
-        #: Number of Python-level transition invocations actually executed
-        #: (``transition()`` for the agent backend, ``delta_key()`` for the
-        #: batch backend; memoised applications do not count).
-        self.transition_calls: int = 0
         #: Set when the configuration has provably reached a fixed point
         #: (no ordered pair of present keys can change it).
         self.terminal: bool = False
@@ -286,6 +289,7 @@ class AgentBackend(Backend):
         self.scheduler = scheduler
         self._scheduler_rng = scheduler_rng
         self._agent_rng = agent_rng
+        self.transition_calls = 0
         self.states: List[Any] = [self.protocol.initial_state(i) for i in range(self.n)]
         self.counter = InteractionCounter(self.n)
         self.track_state_space = track_state_space
@@ -441,8 +445,9 @@ class BatchBackend(Backend):
        ``W = sum w(a, b)`` — these are skipped in O(1);
     2. picks the active ordered pair type with probability ``w(a, b) / W``;
     3. applies :meth:`~repro.engine.protocol.Protocol.delta_key` once for
-       that *type* (memoised when the protocol declares deterministic
-       transitions) and updates the histogram.
+       that *type* (memoised per pair type and coin value by
+       :class:`~repro.engine.outcomes.OutcomeTable`) and updates the
+       histogram.
 
     Pair-type weights are maintained incrementally: an event changes the
     multiplicities of at most four keys, so only the pair weights involving
@@ -493,6 +498,9 @@ class BatchBackend(Backend):
     """
 
     name = "batch"
+    #: Dense regime, large n: the collision-free kernel handed over from the
+    #: block kernel (see :meth:`_collision_free_ready`); ``None`` otherwise.
+    _batch_kernel: Optional[CollisionFreeKernel] = None
 
     def __init__(
         self,
@@ -531,8 +539,7 @@ class BatchBackend(Backend):
         if track_state_space:
             for key in self.counts:
                 self.state_space.observe(key)
-        self._deterministic = protocol.deterministic_transitions
-        self._delta_cache: Dict[Tuple[Hashable, Hashable], Tuple[Hashable, Hashable]] = {}
+        self._outcomes = OutcomeTable(self._delta)
         self._can_change_cache: Dict[Tuple[Hashable, Hashable], bool] = {}
         self._output_cache: Dict[Hashable, Any] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
@@ -608,8 +615,13 @@ class BatchBackend(Backend):
                 self.accel_active = "python"
         if not self._prunes:
             # An initial configuration may already be the provable fixed
-            # point (single key, deterministic no-op self-interaction).
+            # point (single key whose self-interaction is a no-op).
             self._check_dense_fixed_point()
+
+    @property
+    def transition_calls(self) -> int:
+        """``delta_key`` evaluations made by the outcome table."""
+        return self._outcomes.calls
 
     # ------------------------------------------------------------ pair table
     def _can_change(self, key_a: Hashable, key_b: Hashable) -> bool:
@@ -706,6 +718,9 @@ class BatchBackend(Backend):
             return
         if self._dense_kernel is not None:
             self._advance_dense_numpy(target)
+            return
+        if self._batch_kernel is not None:
+            self._advance_collision_free(target)
             return
         ordered_pairs = self.n * (self.n - 1)
         log = math.log
@@ -835,24 +850,16 @@ class BatchBackend(Backend):
     ) -> Tuple[Hashable, Hashable, Tuple[Hashable, ...]]:
         """Apply one pair type's transition to the histogram.
 
-        Shared by the Python and NumPy event loops: evaluates (memoising
-        when deterministic) ``delta_key``, updates the histogram and the
-        state-space tracker when the configuration changed, and returns
+        Shared by the Python and NumPy event loops: looks the outcome up in
+        the outcome table (which consumes the run's ``rng`` exactly as
+        ``delta_key`` would), updates the histogram and the state-space
+        tracker when the configuration changed, and returns
         ``(new_a, new_b, changed)`` where ``changed`` is the (possibly
         overlapping) 4-tuple of touched keys, or ``()`` when the interaction
         was configuration-preserving.  Weight-structure maintenance is the
         caller's job — it differs per path.
         """
-        if self._deterministic:
-            result = self._delta_cache.get((key_a, key_b))
-            if result is None:
-                result = self._delta(key_a, key_b, self._agent_rng)
-                self.transition_calls += 1
-                self._delta_cache[(key_a, key_b)] = result
-        else:
-            result = self._delta(key_a, key_b, self._agent_rng)
-            self.transition_calls += 1
-        new_a, new_b = result
+        new_a, new_b = self._outcomes.apply(key_a, key_b, self._agent_rng)
         if (new_a == key_a and new_b == key_b) or (
             new_a == key_b and new_b == key_a
         ):
@@ -960,7 +967,7 @@ class BatchBackend(Backend):
         counters that *triggered* the fallback would otherwise vanish from
         the result).
         """
-        retired_kernel = self._pair_kernel or self._dense_kernel
+        retired_kernel = self._pair_kernel or self._dense_kernel or self._batch_kernel
         if retired_kernel is not None:
             self._retire_sampler(
                 retired_kernel.stats(),
@@ -969,6 +976,7 @@ class BatchBackend(Backend):
             )
         self._pair_kernel = None
         self._dense_kernel = None
+        self._batch_kernel = None
         self._note_fallback(reason)
         if self._prunes:
             self._rebuild_pair_weights()
@@ -1037,22 +1045,28 @@ class BatchBackend(Backend):
     def _advance_dense_numpy(self, target: int) -> None:
         """Dense-regime event loop over blocked histogram pair draws.
 
-        Falls back to the Python sampler path when the kernel reports
+        When the kernel reports
         :attr:`~repro.engine.vectorized.DenseBlockKernel.thrashing` — a
         configuration that changes on nearly every interaction invalidates
         every block after one event, so the vectorised draws cost more than
-        the per-event sampler they replace.
+        the per-event sampler they replace — the run moves on to the
+        collision-free kernel when :meth:`_collision_free_ready` allows it,
+        and falls back to the Python sampler path otherwise.
         """
         kernel = self._dense_kernel
         simulator = self.simulator
         counts = self.counts
         while self.interactions < target and not self.terminal:
             if kernel.thrashing:
+                self.counter.total = self.interactions
+                if self._collision_free_ready():
+                    self._engage_collision_free()
+                    self._advance_collision_free(target)
+                    return
                 self._fallback_to_python(
                     "dense block draws thrashed (the histogram changes on "
                     "nearly every interaction)"
                 )
-                self.counter.total = self.interactions
                 self.advance_to(target)
                 return
             tracer = self.tracer
@@ -1079,25 +1093,93 @@ class BatchBackend(Backend):
                     hook.on_batch_event(simulator, key_a, key_b, new_a, new_b)
         self.counter.total = self.interactions
 
+    # ------------------------------------------------- collision-free runs
+    def _collision_free_ready(self) -> bool:
+        """The engagement rule of the collision-free kernel.
+
+        All of: no hooks (they observe single events, which a batch does
+        not produce), every pair type so far memoisable (a batch applies
+        outcomes per pair type), and a mean collision-free run of at least
+        :attr:`~repro.engine.vectorized.CollisionFreeKernel.MIN_EXPECTED_RUN`
+        interactions.  A deterministic function of ``n`` and the run's pair
+        types, never of timing, so replays take the same path.
+        """
+        return (
+            not self.simulator.hooks
+            and self._outcomes.memoisable
+            and expected_run_length(self.n) >= CollisionFreeKernel.MIN_EXPECTED_RUN
+        )
+
+    def _engage_collision_free(self) -> None:
+        """Replace the thrashing block kernel by the collision-free kernel.
+
+        The kernel continues on the block kernel's generator, so the run's
+        scheduler stream is not touched.
+        """
+        dense = self._dense_kernel
+        self._retire_sampler(dense.stats(), "dense", "collision-free")
+        self.tracer.note_event(
+            "accel-engage", at=self.interactions, kernel="collision-free"
+        )
+        self._batch_kernel = CollisionFreeKernel(
+            self._outcomes,
+            dense.generator,
+            self._agent_rng,
+            observe=self.state_space.observe if self.track_state_space else None,
+        )
+        self._dense_kernel = None
+
+    def _advance_collision_free(self, target: int) -> None:
+        """Dense-regime loop over collision-free runs (no per-event hooks)."""
+        kernel = self._batch_kernel
+        if not self._collision_free_ready():
+            self._fallback_to_python(
+                "the collision-free kernel's engagement rule no longer holds "
+                "(hooks, a non-memoisable pair type, or a smaller population)"
+            )
+            self.advance_to(target)
+            return
+        counts = self.counts
+        n = self.n
+        tracer = self.tracer
+        kernel.load(counts)
+        try:
+            while self.interactions < target and not self.terminal:
+                done = kernel.step(n, target - self.interactions, tracer)
+                self.interactions += done
+                self.applied_events += done
+                if not kernel.memoisable:
+                    break
+                if kernel.live_keys() == 1:
+                    kernel.store(counts)
+                    self._check_dense_fixed_point()
+        except AccelCapacityError as error:
+            kernel.store(counts)
+            self.counter.total = self.interactions
+            self._fallback_to_python(str(error))
+            self.advance_to(target)
+            return
+        kernel.store(counts)
+        self.counter.total = self.interactions
+        if self.interactions < target and not self.terminal:
+            # A pair type turned out non-memoisable mid-batch: the batch was
+            # still exact (it evaluated that type one interaction at a
+            # time); the rest of the run goes back to the sequential path.
+            self.advance_to(target)
+
     def _check_dense_fixed_point(self) -> None:
         """Detect the one provable fixed point available without pruning.
 
         With a conservative ``can_interaction_change`` the dense regime has
-        no pair-weight table to drain to zero, but when a *deterministic*
-        protocol collapses the whole population onto a single key whose
-        self-interaction is a no-op, the configuration provably never changes
-        again.
+        no pair-weight table to drain to zero, but when the whole population
+        sits in a single key whose self-interaction leaves both agents there
+        (for either coin), the configuration provably never changes again.
+        The outcome table answers by probing, which consumes no run
+        randomness.
         """
-        if not self._deterministic or len(self.counts) != 1:
+        if len(self.counts) != 1:
             return
-        key = next(iter(self.counts))
-        result = self._delta_cache.get((key, key))
-        if result is None:
-            result = self._delta(key, key, self._agent_rng)
-            self.transition_calls += 1
-            self._delta_cache[(key, key)] = result
-        new_a, new_b = result
-        if (new_a == key and new_b == key):
+        if self._outcomes.fixed_point(next(iter(self.counts))):
             self.terminal = True
 
     # ------------------------------------------------- population dynamics
@@ -1151,6 +1233,9 @@ class BatchBackend(Backend):
                 counts = self.counts
                 for key in changed:
                     kernel.set_count(key, counts.get(key, 0))
+            self._check_dense_fixed_point()
+        elif self._batch_kernel is not None:
+            # The kernel reloads the histogram at every advance_to.
             self._check_dense_fixed_point()
         elif self._prunes:
             if full_rebuild:
@@ -1296,6 +1381,8 @@ class BatchBackend(Backend):
                     self._fallback_to_python(str(error))
             elif self._dense_kernel is not None:
                 self._dense_kernel.rebuild(counts)
+            elif self._batch_kernel is not None:
+                pass  # reloaded from the histogram at every advance_to
             elif self._prunes:
                 self._rebuild_pair_weights()
             else:
@@ -1323,6 +1410,9 @@ class BatchBackend(Backend):
         elif self._dense_kernel is not None:
             record["strategy"] = "vector"
             record.update(self._dense_kernel.stats())
+        elif self._batch_kernel is not None:
+            record["strategy"] = "collision-free"
+            record.update(self._batch_kernel.stats())
         else:
             sampler = self._pair_sampler if self._prunes else self._count_sampler
             if sampler is not None:
@@ -1349,8 +1439,11 @@ class BatchBackend(Backend):
             # means "armed, but the Python path is still the better tool
             # for this table" (tiny or static pair tables).
             "engaged": self._pair_kernel is not None
-            or self._dense_kernel is not None,
+            or self._dense_kernel is not None
+            or self._batch_kernel is not None,
         }
+        if self._batch_kernel is not None:
+            record["kernel"] = "collision-free"
         if self._accel_fallback is not None:
             record["fallback_reason"] = self._accel_fallback
         return record

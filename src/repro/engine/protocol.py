@@ -90,11 +90,6 @@ class Protocol(abc.ABC, Generic[S]):
 
     name: str = ""
     uniform: bool = True
-    #: ``True`` when :meth:`transition` (and :meth:`delta_key`) never consume
-    #: randomness, i.e. the pair of post-interaction states is a pure function
-    #: of the pair of pre-interaction state keys.  The batch backend uses this
-    #: to memoise key-level transitions per pair *type*.
-    deterministic_transitions: bool = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -179,6 +174,14 @@ class Protocol(abc.ABC, Generic[S]):
         that do not implement the key-level API are lifted automatically via
         :class:`repro.engine.backends.LiftedKeyTransitions` (which relies on
         :meth:`copy_state`).
+
+        The result must be a function of ``key_a``, ``key_b`` and the values
+        drawn from ``rng`` only — no hidden state, no other randomness.  The
+        batch backend's :class:`~repro.engine.outcomes.OutcomeTable` relies
+        on this contract: it memoises one outcome per ordered pair type, or
+        one per coin value when the transition draws a single
+        ``rng.getrandbits(1)`` (a synthetic coin), and re-evaluates pair
+        types that use ``rng`` in any other way.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement key-level transitions"

@@ -42,6 +42,13 @@ untouched (the core library stays dependency-free; NumPy is an *extra*):
   row/partner scheme with a diagonal rejection — the same law as the
   Python path's conditional draw over the materialised table.
 
+* :class:`CollisionFreeKernel` takes over the dense regime at large ``n``
+  when the block draws thrash (the composed counting protocols): it
+  advances the histogram one collision-free run of about ``sqrt(n)``
+  interactions per vectorised step, applying each run's pair types through
+  the batch backend's memoised outcome table, and plays the colliding
+  interaction exactly.
+
 Kernel randomness comes from a dedicated ``numpy.random.Generator`` seeded
 from the run seed, so accelerated runs are reproducible; they are
 *statistically* equivalent to the pure-Python path (same chain law, KS- and
@@ -53,6 +60,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from time import perf_counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .errors import ConfigurationError
@@ -68,6 +76,9 @@ __all__ = [
     "VectorSampler",
     "DenseBlockKernel",
     "FactorisedPairKernel",
+    "CollisionFreeKernel",
+    "RunLengthLaw",
+    "expected_run_length",
 ]
 
 #: Valid values for the ``accel=`` knob of the simulator and the batch
@@ -446,6 +457,11 @@ class DenseBlockKernel:
             sampler.key_at(int(self._pairs_a[cursor])),
             sampler.key_at(int(self._pairs_b[cursor])),
         )
+
+    @property
+    def generator(self):
+        """The kernel's ``numpy.random.Generator`` (handed on at engagement)."""
+        return self._generator
 
     def stats(self) -> Dict[str, Any]:
         record = {
@@ -827,4 +843,367 @@ class FactorisedPairKernel:
             "blocks": self.blocks,
             "invalidations": self.invalidations,
             "rejections": self.rejections,
+        }
+
+
+def expected_run_length(n: int) -> float:
+    """Mean length ``sqrt(pi n / 8)`` of a collision-free run of interactions.
+
+    The engagement rule of :class:`CollisionFreeKernel` compares it with
+    :attr:`CollisionFreeKernel.MIN_EXPECTED_RUN`; it is a function of ``n``
+    only, so whether a run is batched never depends on timing.
+    """
+    return math.sqrt(math.pi * n / 8.0)
+
+
+class RunLengthLaw:
+    """Law of the length ``L`` of a collision-free run at population ``n``.
+
+    ``L`` counts the interactions before the first one that involves an
+    agent already touched in the run: ``P(L >= l) = prod_{i < l} (n - 2i)
+    (n - 2i - 1) / (n (n - 1))`` for ``l <= floor(n / 2)``, and 0 beyond.
+    The array of ``-log P(L >= l)`` is built lazily in chunks of about
+    ``4 sqrt(n)`` entries, so a law costs ``O(sqrt(n))`` unless a rare long
+    draw asks for more.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n < 2:
+            raise ConfigurationError("a collision-free run needs at least 2 agents")
+        self.n = n
+        self._last = n // 2  # largest l with P(L >= l) > 0
+        self._chunk = 4 * math.isqrt(n) + 16
+        self._neg_log = _np.zeros(1)  # -log P(L >= 0) = 0
+        self._complete = False
+
+    def _extend(self) -> None:
+        start = len(self._neg_log) - 1  # next factor index i
+        stop = min(start + self._chunk, self._last)
+        n = self.n
+        index = _np.arange(start, stop, dtype=_np.float64)
+        steps = -(_np.log1p(-2.0 * index / n) + _np.log1p(-2.0 * index / (n - 1)))
+        tail = self._neg_log[-1] + _np.cumsum(steps)
+        if stop >= self._last:
+            tail = _np.append(tail, _np.inf)  # P(L >= last + 1) = 0
+            self._complete = True
+        self._neg_log = _np.concatenate((self._neg_log, tail))
+        self._chunk *= 2
+
+    def sample(self, generator) -> int:
+        """Draw ``L`` by inverse transform: the largest ``l`` with ``P(L >= l) > u``."""
+        uniform = generator.random()
+        level = math.inf if uniform <= 0.0 else -math.log(uniform)
+        while not self._complete and self._neg_log[-1] < level:
+            self._extend()
+        return int(_np.searchsorted(self._neg_log, level, side="left")) - 1
+
+    @property
+    def built(self) -> int:
+        """Entries of the survival table built so far."""
+        return len(self._neg_log)
+
+
+class CollisionFreeKernel:
+    """Batched dense-regime simulation, one collision-free run per step.
+
+    The batched algorithm of Berenbrink et al. (ESA 2020), as used by
+    Doty & Severson's ppsim (CMSB 2021).  One :meth:`step` of the uniform
+    random scheduler's chain, over the key histogram ``c``:
+
+    1. Draw the run length ``L`` from :class:`RunLengthLaw` and truncate it
+       at the interactions left to the caller's target (exact: the first
+       ``m`` interactions are collision-free exactly when ``L >= m``).
+    2. The ``2L`` participants are distinct agents drawn uniformly:
+       ``Generator.multivariate_hypergeometric`` draws their key counts, a
+       shuffle orders them, and the first half initiates against the second.
+    3. The interactions of a run touch disjoint agents, so they all apply
+       to the pre-run configuration at once, through the outcome table: a
+       pair type with a coin takes each coin value with probability ½ per
+       interaction (over ``k`` interactions of a type, a ``Binomial(k, ½)``
+       split).
+    4. Unless the run was truncated, the colliding interaction is played
+       exactly: uniform over the ordered pairs with at least one touched
+       agent, i.e. touched/touched, touched/untouched or untouched/touched
+       with weights ``t (t - 1)``, ``t u`` and ``u t`` (``t = 2L`` touched,
+       ``u = n - 2L`` untouched agents), each participant drawn from the
+       post-run touched or the untouched counts.
+
+    After the collision every agent is fresh again, so the next step starts
+    a new run from the new configuration (the chain is Markov).
+
+    Outcomes are memoised twice: by key pair in the run's
+    :class:`~repro.engine.outcomes.OutcomeTable`, and by slot pair in dense
+    ``C x C`` arrays (``C`` the slot capacity) so a step gathers every
+    interaction's outcome in one vectorised lookup.  Slot pairs the arrays
+    have not seen are filled from the table by probes, which consume no run
+    randomness.  A pair type that turns out non-memoisable is evaluated
+    once per interaction with the run's ``rng`` (still exact) and
+    :attr:`memoisable` drops, so the caller can hand the run back to the
+    sequential path.
+    """
+
+    #: Engagement threshold on :func:`expected_run_length`: batching pays
+    #: once the mean run is this long.  Set from the dense rows of
+    #: ``repro-bench --accel`` and the crossover table in README
+    #: ("Acceleration"): ``approximate`` breaks even near a mean run of 9-10
+    #: (n = 192: 0.94x, n = 256: 1.25x) and ``count-exact`` wins from
+    #: n = 128 on, so the kernel engages from n = 255 (mean run 10.0).
+    #: n = 128 (mean run 7.1) stays on the sequential path.
+    MIN_EXPECTED_RUN = 10.0
+
+    #: Slot capacity beyond which the ``C x C`` outcome arrays cost too much
+    #: memory; a wider live key set hands the run back to the sequential path.
+    #: Outcome slots are stored as ``int16``, so it must stay below 2^15.
+    MAX_SLOTS = 1024
+    #: Initial slot capacity (doubled as keys appear); small, because a
+    #: backend's arrays live until the simulator is garbage-collected.
+    MIN_SLOTS = 16
+
+    #: Outcome-array kinds.
+    _UNKNOWN, _KNOWN, _ONE_BY_ONE = 0, 1, 2
+
+    def __init__(
+        self,
+        table: Any,
+        generator,
+        rng: random.Random,
+        observe: Optional[Callable[[Hashable], None]] = None,
+    ) -> None:
+        require_numpy("the collision-free kernel")
+        self._table = table
+        self._generator = generator
+        self._rng = rng
+        self._observe = observe
+        self._law: Optional[RunLengthLaw] = None
+        self.memoisable = True
+        self.batches = 0
+        self.interactions = 0
+        self.collisions = 0
+        self.compactions = 0
+        self._reset_slots(self.MIN_SLOTS)
+
+    # ----------------------------------------------------------------- slots
+    def _reset_slots(self, capacity: int) -> None:
+        self._keys: List[Hashable] = []
+        self._slots: Dict[Hashable, int] = {}
+        self._capacity = capacity
+        self._c = _np.zeros(capacity, dtype=_np.int64)
+        self._seen = _np.zeros(capacity, dtype=bool)
+        self._kind = _np.zeros(capacity * capacity, dtype=_np.int8)
+        self._out_a = _np.zeros((2, capacity * capacity), dtype=_np.int16)
+        self._out_b = _np.zeros((2, capacity * capacity), dtype=_np.int16)
+
+    def _grow(self) -> None:
+        old = self._capacity
+        new = old * 2
+        if new > self.MAX_SLOTS:
+            raise AccelCapacityError(
+                f"live key set outgrew the collision-free kernel's {self.MAX_SLOTS} slots"
+            )
+
+        def widen(array):
+            grown = _np.zeros((len(array), new, new), dtype=array.dtype)
+            grown[:, :old, :old] = array.reshape(len(array), old, old)
+            return grown.reshape(len(array), new * new)
+
+        self._kind = widen(self._kind[None, :])[0]
+        self._out_a = widen(self._out_a)
+        self._out_b = widen(self._out_b)
+        self._c = _np.concatenate((self._c, _np.zeros(old, dtype=_np.int64)))
+        self._seen = _np.concatenate((self._seen, _np.zeros(old, dtype=bool)))
+        self._capacity = new
+
+    def _slot(self, key: Hashable) -> int:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = len(self._keys)
+            if slot >= self._capacity:
+                self._grow()
+            self._keys.append(key)
+            self._slots[key] = slot
+        return slot
+
+    def load(self, counts: Dict[Hashable, int]) -> None:
+        """Take the configuration from ``counts`` (every key already observed)."""
+        self._c[:] = 0
+        for key, count in counts.items():
+            if count:
+                slot = self._slot(key)
+                self._c[slot] = count
+                self._seen[slot] = True
+        self._compact_if_sparse()
+
+    def _compact_if_sparse(self) -> None:
+        """Rebuild the slots from the live keys once dead ones dominate.
+
+        A drifting key set (phase clocks) keeps minting keys whose counts
+        return to zero; without compaction they would fill the slots.  The
+        outcome arrays are refilled from the outcome table on demand.
+        """
+        live = int(_np.count_nonzero(self._c))
+        if len(self._keys) <= 2 * live + 64:
+            return
+        counts = {}
+        self.store(counts)
+        capacity = self.MIN_SLOTS
+        while capacity < 2 * live:
+            capacity *= 2
+        self._reset_slots(capacity)
+        self.load(counts)
+        self.compactions += 1
+
+    def store(self, counts: Dict[Hashable, int]) -> None:
+        """Write the configuration back into the mapping ``counts``."""
+        counts.clear()
+        keys = self._keys
+        c = self._c
+        for slot in _np.flatnonzero(c).tolist():
+            counts[keys[slot]] = int(c[slot])
+
+    def live_keys(self) -> int:
+        """Number of keys present in the loaded configuration."""
+        return int(_np.count_nonzero(self._c))
+
+    # -------------------------------------------------------------- outcomes
+    def _resolve(self, slot_a: int, slot_b: int) -> None:
+        """Fill one slot pair's outcome arrays from the outcome table."""
+        entry = self._table.lookup(self._keys[slot_a], self._keys[slot_b])
+        if entry.__class__ is tuple:
+            outcomes = (entry, entry)
+        elif entry.__class__ is list:
+            outcomes = (entry[0], entry[1])
+        else:
+            self.memoisable = False
+            self._kind[slot_a * self._capacity + slot_b] = self._ONE_BY_ONE
+            return
+        slots = [(self._slot(a), self._slot(b)) for a, b in outcomes]
+        code = slot_a * self._capacity + slot_b  # after any growth
+        for coin, (new_a, new_b) in enumerate(slots):
+            self._out_a[coin, code] = new_a
+            self._out_b[coin, code] = new_b
+        self._kind[code] = self._KNOWN
+
+    def _outcomes(self, initiators, responders):
+        """Post-interaction slots of disjoint (initiator, responder) pairs."""
+        capacity = self._capacity
+        codes = initiators * capacity + responders
+        kinds = self._kind[codes]
+        if not kinds.all():
+            unknown = _np.flatnonzero(kinds == self._UNKNOWN)
+            for slot_a, slot_b in set(
+                zip(initiators[unknown].tolist(), responders[unknown].tolist())
+            ):
+                self._resolve(slot_a, slot_b)
+            if self._capacity != capacity:  # resolving grew the slots
+                codes = initiators * self._capacity + responders
+        coins = self._generator.integers(0, 2, size=len(codes))
+        new_a = self._out_a[coins, codes]
+        new_b = self._out_b[coins, codes]
+        if not self.memoisable:
+            for index in _np.flatnonzero(self._kind[codes] == self._ONE_BY_ONE).tolist():
+                key_a, key_b = self._table.evaluate(
+                    self._keys[initiators[index]], self._keys[responders[index]], self._rng
+                )
+                new_a[index] = self._slot(key_a)
+                new_b[index] = self._slot(key_b)
+        return new_a, new_b
+
+    def _draw(self, counts, total: int) -> int:
+        """One slot drawn with probability ``counts[slot] / total``."""
+        ticket = int(self._generator.integers(0, total))
+        return int(_np.searchsorted(_np.cumsum(counts), ticket, side="right"))
+
+    def _observe_new(self, present) -> None:
+        if self._observe is None:
+            return
+        fresh = _np.flatnonzero(present[: len(self._keys)] & ~self._seen[: len(self._keys)])
+        for slot in fresh.tolist():
+            self._seen[slot] = True
+            self._observe(self._keys[slot])
+
+    # ------------------------------------------------------------------ step
+    def step(self, n: int, remaining: int, tracer: Any = None) -> int:
+        """Advance one collision-free run (plus its collision); return its length.
+
+        ``n`` is the population size (the loaded counts must sum to it) and
+        ``remaining`` (> 0) the interactions left to the caller's target.
+        """
+        tic = perf_counter()
+        self._compact_if_sparse()
+        generator = self._generator
+        law = self._law
+        if law is None or law.n != n:
+            law = self._law = RunLengthLaw(n)
+        length = law.sample(generator)
+        collides = length < remaining
+        if not collides:
+            length = remaining
+        size = len(self._keys)
+        drawn = generator.multivariate_hypergeometric(self._c[:size], 2 * length)
+        participants = _np.repeat(_np.arange(size), drawn)
+        generator.shuffle(participants)
+        toc = perf_counter()
+        new_a, new_b = self._outcomes(participants[:length], participants[length:])
+        capacity = self._capacity  # resolving may have grown the slots
+        untouched = self._c.copy()
+        untouched[:size] -= drawn
+        touched = _np.bincount(new_a, minlength=capacity) + _np.bincount(
+            new_b, minlength=capacity
+        )
+        self._observe_new(touched > 0)
+        done = length
+        if collides:
+            self._collide(n, length, touched, untouched)
+            done += 1
+        else:
+            self._c = untouched + touched
+        self.batches += 1
+        self.interactions += done
+        if tracer is not None:
+            tracer.add("sampling", toc - tic, ops=done)
+            tracer.add("transition", perf_counter() - toc, ops=done)
+        return done
+
+    def _collide(self, n: int, length: int, touched, untouched) -> None:
+        """Play the run's colliding interaction and merge the configuration."""
+        touched_n = 2 * length
+        untouched_n = n - touched_n
+        both = touched_n * (touched_n - 1)
+        mixed = touched_n * untouched_n
+        ticket = int(self._generator.integers(0, both + 2 * mixed))
+        if ticket < both:
+            slot_a = self._draw(touched, touched_n)
+            touched[slot_a] -= 1
+            slot_b = self._draw(touched, touched_n - 1)
+            touched[slot_a] += 1
+        elif ticket < both + mixed:
+            slot_a = self._draw(touched, touched_n)
+            slot_b = self._draw(untouched, untouched_n)
+        else:
+            slot_a = self._draw(untouched, untouched_n)
+            slot_b = self._draw(touched, touched_n)
+        c = untouched + touched
+        new_a, new_b = self._outcomes(
+            _np.array([slot_a], dtype=_np.int64), _np.array([slot_b], dtype=_np.int64)
+        )
+        if len(c) < self._capacity:
+            c = _np.concatenate((c, _np.zeros(self._capacity - len(c), dtype=_np.int64)))
+        c[slot_a] -= 1
+        c[slot_b] -= 1
+        c[int(new_a[0])] += 1
+        c[int(new_b[0])] += 1
+        self._c = c
+        self.collisions += 1
+        self._observe_new(c > 0)
+
+    def stats(self) -> Dict[str, Any]:
+        return {
+            "kernel": "collision-free",
+            "batches": self.batches,
+            "interactions": self.interactions,
+            "collisions": self.collisions,
+            "mean_run": round(self.interactions / self.batches, 3) if self.batches else 0.0,
+            "slots": len(self._keys),
+            "compactions": self.compactions,
+            "law_entries": self._law.built if self._law is not None else 0,
         }

@@ -13,9 +13,14 @@ Calibration notes
   geometric skipping is what makes ``1.8 * 10^10`` interactions at
   ``n = 10^5`` a minutes-scale run.
 * ``theorem-1`` and ``theorem-2`` measure the composed fast protocols.
-  Every interaction of those protocols can change the configuration, so the
-  batch backend processes events one by one and simulation cost scales with
-  the interaction count — which is why their grids stop at ``n = 1024``.
+  Every interaction of those protocols can change the configuration, so no
+  interaction can be skipped and simulation cost scales with the
+  interaction count.  Below ``n = 255`` the batch backend applies them one
+  at a time (outcomes memoised per pair type and coin); from ``n = 255`` on,
+  with NumPy, the collision-free kernel applies a whole collision-free run
+  of about ``sqrt(pi n / 8)`` interactions per vectorised step (see
+  :class:`~repro.engine.vectorized.CollisionFreeKernel`).  Their grids still
+  stop at ``n = 1024``; a paper-scale sweep artifact is yet to be committed.
 * ``counting-smoke`` is the CI grid: two tiny cells, a couple of seconds.
 """
 

@@ -63,7 +63,6 @@ class _MaxConsensus(Protocol):
     """Dense-regime fixture: epidemic dynamics *without* a can_change override."""
 
     name = "max-consensus-dense"
-    deterministic_transitions = True
 
     def initial_state(self, agent_id):
         return _MaxState(agent_id % 4)

@@ -84,6 +84,23 @@ def test_ci_guard_active_accel_path_matches_leg_intent():
         assert churn.extra["sampler"]["strategy"] == "factorised"
     else:
         assert churn.extra["sampler"]["strategy"] in ("alias", "fenwick")
+    # The dense regime: the collision-free kernel must take over the
+    # Theorem-1 protocol at paper scale on the numpy leg, and never at
+    # n = 128 (below its engagement threshold); the pure-python leg runs
+    # both sequentially.
+    from repro.experiments.registry import resolve_protocol
+
+    approximate = resolve_protocol("approximate")
+    for n, batched in ((100_000, expected == "numpy"), (128, False)):
+        dense = simulate(
+            approximate.build(n, {}), n, seed=3, backend="batch", max_interactions=5_000
+        )
+        assert dense.interactions == 5_000
+        assert (dense.extra["accel"].get("kernel") == "collision-free") == batched
+        if batched:
+            assert dense.extra["sampler"]["strategy"] == "collision-free"
+        else:
+            assert dense.extra["sampler"]["strategy"] in ("alias", "fenwick")
 
 
 def test_guard_python_accel_is_always_available():
