@@ -539,7 +539,7 @@ class BatchBackend(Backend):
         if track_state_space:
             for key in self.counts:
                 self.state_space.observe(key)
-        self._outcomes = OutcomeTable(self._delta)
+        self._outcomes = OutcomeTable(self._delta, self.n)
         self._can_change_cache: Dict[Tuple[Hashable, Hashable], bool] = {}
         self._output_cache: Dict[Hashable, Any] = {}
         # Two sampling regimes (see class docstring).  A protocol that keeps
@@ -1142,7 +1142,14 @@ class BatchBackend(Backend):
         counts = self.counts
         n = self.n
         tracer = self.tracer
-        kernel.load(counts)
+        try:
+            kernel.load(counts)
+        except AccelCapacityError as error:
+            # The kernel refused the histogram untouched, so it is still the
+            # run's configuration.
+            self._fallback_to_python(str(error))
+            self.advance_to(target)
+            return
         try:
             while self.interactions < target and not self.terminal:
                 done = kernel.step(n, target - self.interactions, tracer)

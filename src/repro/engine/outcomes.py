@@ -31,12 +31,17 @@ fills it starts over, which keeps long runs whose key set drifts (phase
 clocks) at a flat memory footprint.  Outcome keys are interned, so the
 table holds one object per distinct key rather than one per outcome.
 
-Memoising costs a few dictionary operations per miss.  When pair types
-rarely repeat (the composed counting protocols at a few dozen agents, whose
-keys carry fast-moving counters), the table stops memoising for the rest of
-the run: :meth:`OutcomeTable.apply` then calls ``delta_key`` directly, which
-consumes the run's ``rng`` exactly as before.  The decision depends on the
-sequence of pair types only, so replays stay identical.
+Memoising costs a few dictionary operations per miss, which on wide keys
+(the composed counting protocols, whose keys carry fast-moving counters)
+is a large share of a transition.  When pair types stop repeating, the
+table stops memoising for the rest of the run: :meth:`OutcomeTable.apply`
+then calls ``delta_key`` directly, which consumes the run's ``rng`` exactly
+as before.  A table that is still filling misses as often as one whose keys
+drift, so the hit rate is only judged once the table holds as many entries
+as the population can form pair types (``n^2``) or has filled up: the
+misses are then new pair types that do not repeat, not the first sight of
+a large but finite set.  The decision depends on ``n`` and the sequence of
+pair types only, so replays stay identical.
 """
 
 from __future__ import annotations
@@ -131,9 +136,10 @@ class OutcomeTable:
     REVIEW_EVALUATIONS = 256
     MIN_LOOKUPS_PER_EVALUATION = 2
 
-    def __init__(self, delta: Delta, capacity: int = CAPACITY) -> None:
+    def __init__(self, delta: Delta, population: int) -> None:
+        """``population`` bounds the pair types a run can form at once."""
         self._delta = delta
-        self._capacity = capacity
+        self._pair_types = population * population
         self._entries: Dict[Keys, Entry] = {}
         self._interned: Dict[Hashable, Hashable] = {}
         self._recorder = _CoinRecorder()
@@ -143,7 +149,7 @@ class OutcomeTable:
         #: ``True`` once memoising stopped paying (see module doc).
         self.bypass = False
         self._lookups = 0
-        self._window = (0, 0)  # (lookups, calls) when the review window opened
+        self._window = (0, 0, 0)  # (lookups, calls, resets) when the window opened
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -151,7 +157,7 @@ class OutcomeTable:
     # -------------------------------------------------------------- storage
     def _store(self, pair: Keys, entry: Entry) -> None:
         entries = self._entries
-        if len(entries) >= self._capacity and pair not in entries:
+        if len(entries) >= self.CAPACITY and pair not in entries:
             entries.clear()
             self._interned.clear()
             self.resets += 1
@@ -217,13 +223,18 @@ class OutcomeTable:
         return outcome
 
     def _review(self) -> None:
-        """Stop memoising when lookups barely outnumber evaluations."""
-        lookups, calls = self._window
-        if self._lookups - lookups < self.MIN_LOOKUPS_PER_EVALUATION * (self.calls - calls):
+        """Stop memoising when a full table's lookups barely outnumber evaluations."""
+        lookups, calls, resets = self._window
+        self._window = (self._lookups, self.calls, self.resets)
+        full = resets != self.resets or len(self._entries) >= min(
+            self._pair_types, self.CAPACITY
+        )
+        if full and self._lookups - lookups < self.MIN_LOOKUPS_PER_EVALUATION * (
+            self.calls - calls
+        ):
             self.bypass = True
             self._entries.clear()
             self._interned.clear()
-        self._window = (self._lookups, self.calls)
 
     # ---------------------------------------------------------------- probes
     def lookup(self, key_a: Hashable, key_b: Hashable) -> Entry:

@@ -951,9 +951,12 @@ class CollisionFreeKernel:
     #: n = 128 (mean run 7.1) stays on the sequential path.
     MIN_EXPECTED_RUN = 10.0
 
-    #: Slot capacity beyond which the ``C x C`` outcome arrays cost too much
-    #: memory; a wider live key set hands the run back to the sequential path.
-    #: Outcome slots are stored as ``int16``, so it must stay below 2^15.
+    #: Slot capacity a step may start with; the ``C x C`` outcome arrays
+    #: cost ``9 C^2`` bytes.  Slots grow freely inside a step, so a drawn
+    #: step is always finished; between steps dead slots are compacted away,
+    #: and a configuration with more than half this many live keys hands the
+    #: run back to the sequential path.  Outcome slots are stored as
+    #: ``int16``, so every capacity must stay below 2^15.
     MAX_SLOTS = 1024
     #: Initial slot capacity (doubled as keys appear); small, because a
     #: backend's arrays live until the simulator is garbage-collected.
@@ -996,10 +999,6 @@ class CollisionFreeKernel:
     def _grow(self) -> None:
         old = self._capacity
         new = old * 2
-        if new > self.MAX_SLOTS:
-            raise AccelCapacityError(
-                f"live key set outgrew the collision-free kernel's {self.MAX_SLOTS} slots"
-            )
 
         def widen(array):
             grown = _np.zeros((len(array), new, new), dtype=array.dtype)
@@ -1023,32 +1022,58 @@ class CollisionFreeKernel:
             self._slots[key] = slot
         return slot
 
-    def load(self, counts: Dict[Hashable, int]) -> None:
-        """Take the configuration from ``counts`` (every key already observed)."""
-        self._c[:] = 0
-        for key, count in counts.items():
-            if count:
-                slot = self._slot(key)
-                self._c[slot] = count
-                self._seen[slot] = True
-        self._compact_if_sparse()
+    def _check_live(self, live: int) -> None:
+        if 2 * live > self.MAX_SLOTS:
+            raise AccelCapacityError(
+                f"{live} live keys outgrew the collision-free kernel's "
+                f"{self.MAX_SLOTS} slots"
+            )
 
-    def _compact_if_sparse(self) -> None:
-        """Rebuild the slots from the live keys once dead ones dominate.
-
-        A drifting key set (phase clocks) keeps minting keys whose counts
-        return to zero; without compaction they would fill the slots.  The
-        outcome arrays are refilled from the outcome table on demand.
-        """
-        live = int(_np.count_nonzero(self._c))
-        if len(self._keys) <= 2 * live + 64:
-            return
-        counts = {}
-        self.store(counts)
+    def _capacity_for(self, live: int) -> int:
         capacity = self.MIN_SLOTS
         while capacity < 2 * live:
             capacity *= 2
-        self._reset_slots(capacity)
+        return capacity
+
+    def load(self, counts: Dict[Hashable, int]) -> None:
+        """Take the configuration from ``counts`` (every key already observed).
+
+        Raises :class:`AccelCapacityError`, with the kernel untouched, when
+        the live keys are too many for :attr:`MAX_SLOTS`.  Keys new to the
+        kernel (joins, corruptions) start the slots over from the live keys
+        when they would push the slots past :attr:`MAX_SLOTS`.
+        """
+        live = [(key, count) for key, count in counts.items() if count]
+        self._check_live(len(live))
+        slots = self._slots
+        fresh = sum(1 for key, _ in live if key not in slots)
+        if len(self._keys) + fresh > self.MAX_SLOTS:
+            self._reset_slots(self._capacity_for(len(live)))
+        self._c[:] = 0
+        for key, count in live:
+            slot = self._slot(key)
+            self._c[slot] = count
+            self._seen[slot] = True
+
+    def _make_room(self) -> None:
+        """Prepare the slots for a step (called only between steps).
+
+        Raises :class:`AccelCapacityError` when the live keys are too many;
+        otherwise rebuilds the slots from the live keys once dead ones
+        dominate or the last step grew them past :attr:`MAX_SLOTS`.  A
+        drifting key set (phase clocks) keeps minting keys whose counts
+        return to zero; without compaction they would fill the slots.  The
+        outcome arrays are refilled from the outcome table on demand.  Both
+        depend on the configuration only, so a hand-back never discards a
+        sampled step.
+        """
+        live = int(_np.count_nonzero(self._c))
+        self._check_live(live)
+        if len(self._keys) <= min(self.MAX_SLOTS, 2 * live + 64):
+            return
+        counts = {}
+        self.store(counts)
+        self._reset_slots(self._capacity_for(live))
         self.load(counts)
         self.compactions += 1
 
@@ -1129,7 +1154,7 @@ class CollisionFreeKernel:
         ``remaining`` (> 0) the interactions left to the caller's target.
         """
         tic = perf_counter()
-        self._compact_if_sparse()
+        self._make_room()
         generator = self._generator
         law = self._law
         if law is None or law.n != n:

@@ -25,6 +25,7 @@ from repro.engine.outcomes import NOT_MEMOISABLE, OutcomeTable
 from repro.engine.protocol import Protocol
 from repro.engine.stats import chi_square_gof, ks_pvalue, ks_statistic
 from repro.engine.vectorized import (
+    AccelCapacityError,
     CollisionFreeKernel,
     RunLengthLaw,
     expected_run_length,
@@ -107,7 +108,7 @@ class _CoinDriven(_KeyProtocol):
 
 def test_table_hits_draw_the_same_coin_the_transition_would():
     protocol = _CoinDriven()
-    table = OutcomeTable(protocol.delta_key)
+    table = OutcomeTable(protocol.delta_key, 8)
     table_rng, direct_rng = random.Random(7), random.Random(7)
     pairs = [(a, b) for a in range(3) for b in range(3)] * 40
     random.Random(1).shuffle(pairs)
@@ -143,7 +144,7 @@ class _UsesRandom(_KeyProtocol):
 
 @pytest.mark.parametrize("protocol", [_SecondCoinOnHeads(), _UsesRandom()])
 def test_other_rng_use_is_marked_and_stays_stream_identical(protocol):
-    table = OutcomeTable(protocol.delta_key)
+    table = OutcomeTable(protocol.delta_key, 8)
     table_rng, direct_rng = random.Random(3), random.Random(3)
     for _ in range(200):
         assert table.apply(0, 1, table_rng) == protocol.delta_key(0, 1, direct_rng)
@@ -154,7 +155,9 @@ def test_other_rng_use_is_marked_and_stays_stream_identical(protocol):
 
 def test_table_stops_memoising_when_pairs_never_repeat():
     protocol = _CoinDriven(states=10**6)
-    table = OutcomeTable(protocol.delta_key)
+    # 20 agents form at most 400 pair types at once; past that many entries
+    # a table that still misses sees keys drift.
+    table = OutcomeTable(protocol.delta_key, 20)
     table_rng, direct_rng = random.Random(9), random.Random(9)
     for key in range(1_000):
         assert table.apply(key, key + 1, table_rng) == protocol.delta_key(
@@ -164,14 +167,27 @@ def test_table_stops_memoising_when_pairs_never_repeat():
     assert table.calls == 1_000
     assert table_rng.getstate() == direct_rng.getstate()
     # Repeating pairs keep the table on.
-    repeating = OutcomeTable(protocol.delta_key)
+    repeating = OutcomeTable(protocol.delta_key, 20)
     for key in range(1_000):
         repeating.apply(key % 3, key % 5, table_rng)
     assert not repeating.bypass and repeating.calls <= 2 * 15
 
 
+def test_table_keeps_memoising_while_a_large_pair_set_fills():
+    # 40 keys form 1,600 pair types: the first review windows see mostly
+    # misses, yet every pair type repeats, so the table must stay on.
+    protocol = _Deterministic(states=40)
+    table = OutcomeTable(protocol.delta_key, 2_000)
+    rng, pairs = random.Random(4), random.Random(5)
+    for _ in range(50_000):
+        table.apply(pairs.randrange(40), pairs.randrange(40), rng)
+    assert not table.bypass
+    assert table.calls == len(table) == 1_600
+
+
 def test_table_is_bounded():
-    table = OutcomeTable(_Deterministic(states=50).delta_key, capacity=64)
+    table = OutcomeTable(_Deterministic(states=50).delta_key, 2_000)
+    table.CAPACITY = 64
     rng = random.Random(0)
     for key_a in range(50):
         for key_b in range(50):
@@ -284,7 +300,7 @@ def test_kernel_matches_the_exact_configuration_law(protocol, initial, steps):
     n = sum(initial.values())
     expected = _exact_law(protocol, initial, n, steps)
     kernel = CollisionFreeKernel(
-        OutcomeTable(protocol.delta_key), numpy.random.default_rng(12), random.Random(12)
+        OutcomeTable(protocol.delta_key, n), numpy.random.default_rng(12), random.Random(12)
     )
     draws = 6_000
     observed = Counter()
@@ -352,6 +368,60 @@ def test_kernel_engages_only_above_the_run_length_threshold():
     )
     result = simulator.run(max_interactions=5_000)
     assert "kernel" not in result.extra["accel"]
+
+
+@requires_numpy
+def test_corruption_past_the_slot_limit_hands_the_run_back():
+    n = 2_000
+    simulator = Simulator(_Deterministic(states=20), n, seed=2, backend="batch", accel="numpy")
+    simulator.run(max_interactions=5_000)
+    backend = simulator.backend
+    kernel = backend._batch_kernel
+    assert kernel is not None
+    # 20 live keys fit 48 slots; 30 unseen keys corrupted in do not.
+    kernel.MAX_SLOTS = 48
+    fresh = iter(range(1_000, 1_030))
+    assert backend.corrupt_histogram(30, lambda key, rng: next(fresh), random.Random(1)) == 30
+    backend.advance_to(8_000)
+    assert backend.interactions == 8_000
+    assert backend._batch_kernel is None
+    assert sum(backend.state_key_counts().values()) == n
+    kinds = [event["kind"] for event in backend.tracer.events]
+    assert kinds.count("accel-fallback") == 1
+
+
+class _Drifting(_KeyProtocol):
+    """Every interaction mints two keys never seen before."""
+
+    name = "cf-drifting"
+
+    def rule(self, key_a, key_b, coin):
+        minted = 2 * (1_000 * (key_a + 1) + key_b)
+        return minted, minted + 1
+
+
+@requires_numpy
+def test_a_step_past_the_slot_limit_is_finished_and_hands_back_after():
+    import numpy
+
+    n = 400
+    kernel = CollisionFreeKernel(
+        OutcomeTable(_Drifting().delta_key, n), numpy.random.default_rng(3), random.Random(3)
+    )
+    kernel.MAX_SLOTS = 16
+    kernel.load({key: n // 8 for key in range(8)})
+    # The step draws about 12 disjoint interactions whose pair types mint
+    # keys past the 16 slots: it is finished, not thrown away.
+    done = kernel.step(n, 10_000)
+    assert done > 8 and len(kernel._keys) > 16
+    counts = {}
+    kernel.store(counts)
+    assert sum(counts.values()) == n and len(counts) > 8
+    # The next step boundary hands the run back before drawing anything.
+    state = kernel._generator.bit_generator.state
+    with pytest.raises(AccelCapacityError):
+        kernel.step(n, 10_000)
+    assert kernel._generator.bit_generator.state == state
 
 
 def _configuration_statistics(name, n, seed, accel, budget):
