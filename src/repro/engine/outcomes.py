@@ -197,8 +197,6 @@ class OutcomeTable:
     # ------------------------------------------------------------ sequential
     def apply(self, key_a: Hashable, key_b: Hashable, rng: random.Random) -> Keys:
         """Outcome of one interaction, consuming ``rng`` exactly as ``delta`` would."""
-        if self.bypass:
-            return self.evaluate(key_a, key_b, rng)
         self._lookups += 1
         pair = (key_a, key_b)
         entry = self._entries.get(pair)
@@ -233,6 +231,7 @@ class OutcomeTable:
             self.calls - calls
         ):
             self.bypass = True
+            self.apply = self.evaluate  # the hit path keeps no bypass check
             self._entries.clear()
             self._interned.clear()
 
